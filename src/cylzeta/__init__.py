@@ -27,7 +27,6 @@ from .spectral_models import (
     TangentialModel,
     ZetaValue,
     enumerate_modes,
-    half_zeta_abs,
     hurwitz_zeta,
     hurwitz_zeta_sderiv,
     hurwitz_zeta_zero_deriv,

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, FitConditioningError
 from .gluing import RegScalar, robin_dtn_limit
-from .spectral_models import TangentialModel, zeta_sq, zeta_sq_deriv0
+from .spectral_models import TangentialModel, zeta_sq
 
 __all__ = [
     "Ray",
@@ -55,7 +55,6 @@ __all__ = [
     "ray_constants_sum",
 ]
 
-_LOG2 = math.log(2.0)
 _MIN_CUT_ANGLE = 0.15  # reject shifts closer than this to the branch cut
 
 
@@ -207,11 +206,8 @@ def shifted_robin_logdet(model: TangentialModel, r: float, ray: Ray, t: float) -
     if model.kernel_dim:
         kernel_term = model.kernel_dim * cmath.log(mode_robin_dtn_shifted(0.0, r, z))
 
-    z0 = zeta_sq(model, 0.0)
-    dz, _ = zeta_sq_deriv0(model)
     pieces = {
-        "count_part": (_LOG2, z0.value.real),
-        "log_part": (-0.5, dz),
+        "limit": (1.0, limit),
         "shift_series": (1.0, shift_series),
         "convergent_tail": (1.0, exp_part),
         "kernel_part": (1.0, kernel_term),

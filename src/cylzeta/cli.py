@@ -82,10 +82,6 @@ def _r_grid(args) -> list[float]:
     return [args.r_min + (args.r_max - args.r_min) * i / (steps - 1) for i in range(steps)]
 
 
-def _t_grid(args) -> list[float]:
-    return asym.default_t_grid(args.t_min, args.t_max, args.t_steps)
-
-
 def _load_model(args) -> TangentialModel:
     if not args.model:
         raise DomainError("--model FILE is required")
@@ -254,7 +250,7 @@ def cmd_adiabatic_scan(args) -> int:
 def cmd_asym_const(args) -> int:
     model = _load_model(args)
     r = args.r if args.r is not None else 2.0
-    t_grid = _t_grid(args)
+    t_grid = asym.default_t_grid(args.t_min, args.t_max, args.t_steps)
     m = args.m
     ray_indices = range(m) if args.ray is None else [args.ray]
     d_coeff = asym.heat_trace_constant(model)
@@ -340,43 +336,49 @@ def cmd_blocks_threshold(args) -> int:
 # wiring
 # ---------------------------------------------------------------------------
 
+_FLAGS = {
+    "--model": dict(required=True, help="model JSON file"),
+    "--cap1": dict(help="cap JSON file for side 1"),
+    "--cap2": dict(help="cap JSON file for side 2"),
+    "--r": dict(type=float, default=None),
+    "--r-min": dict(type=float, default=None, dest="r_min"),
+    "--r-max": dict(type=float, default=None, dest="r_max"),
+    "--steps": dict(type=int, default=8),
+    "--t-min": dict(type=float, default=1e3, dest="t_min"),
+    "--t-max": dict(type=float, default=1e5, dest="t_max"),
+    "--t-steps": dict(type=int, default=12, dest="t_steps"),
+    "--ray": dict(type=int, default=None, help="ray index (default: all)"),
+    "--m": dict(type=int, default=4, help="size of the ray angle set"),
+    "--tol": dict(type=float, default=None),
+    "--bc": dict(default="D,D", help="boundary pair, e.g. 'D,P<'"),
+    "--out": dict(help="write the JSON report here"),
+    "--csv": dict(help="write the CSV table here"),
+    "--cache": dict(help="root-sequence cache directory"),
+}
+
+_R_GRID = ("--r", "--r-min", "--r-max", "--steps")
+
+# each command registers --model, --out and exactly the other flags it reads
+_COMMANDS = {
+    "zeta": (cmd_zeta, ()),
+    "cylinder-det": (cmd_cylinder_det, ("--r", "--bc")),
+    "gluing-check": (cmd_gluing_check, (*_R_GRID, "--tol", "--cache", "--csv")),
+    "adiabatic-scan": (cmd_adiabatic_scan, ("--cap1", "--cap2", *_R_GRID, "--tol", "--csv")),
+    "asym-const": (cmd_asym_const, ("--r", "--t-min", "--t-max", "--t-steps", "--ray", "--m",
+                                    "--tol", "--csv")),
+    "blocks-threshold": (cmd_blocks_threshold, ("--cap1", "--cap2", *_R_GRID, "--csv")),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="cylzeta", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--model", required=True, help="model JSON file")
-        p.add_argument("--cap1", help="cap JSON file for side 1")
-        p.add_argument("--cap2", help="cap JSON file for side 2")
-        p.add_argument("--r", type=float, default=None)
-        p.add_argument("--r-min", type=float, default=None, dest="r_min")
-        p.add_argument("--r-max", type=float, default=None, dest="r_max")
-        p.add_argument("--steps", type=int, default=8)
-        p.add_argument("--t-min", type=float, default=1e3, dest="t_min")
-        p.add_argument("--t-max", type=float, default=1e5, dest="t_max")
-        p.add_argument("--t-steps", type=int, default=12, dest="t_steps")
-        p.add_argument("--ray", type=int, default=None, help="ray index (default: all)")
-        p.add_argument("--m", type=int, default=4, help="size of the ray angle set")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--out", help="write the JSON report here")
-        p.add_argument("--csv", help="write the CSV table here")
-        p.add_argument("--cache", help="root-sequence cache directory")
-
-    handlers = {
-        "zeta": cmd_zeta,
-        "cylinder-det": cmd_cylinder_det,
-        "gluing-check": cmd_gluing_check,
-        "adiabatic-scan": cmd_adiabatic_scan,
-        "asym-const": cmd_asym_const,
-        "blocks-threshold": cmd_blocks_threshold,
-    }
-    for name in handlers:
+    for name, (handler, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        add_common(p)
-        if name == "cylinder-det":
-            p.add_argument("--bc", default="D,D", help="boundary pair, e.g. 'D,P<'")
-        p.set_defaults(handler=handlers[name])
+        for flag in ("--model", *flags, "--out"):
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(handler=handler)
     return parser
 
 

@@ -8,22 +8,29 @@ the two cylinder orientations are reduced to one canonical mode problem
 by reflection, which is exact per magnitude for symmetric spectra.
 
 Assembly sums the per-mode closed forms and regularizes the divergent
-parts through the model's zeta invariants; writing logdet_sq for the
-regularized log-determinant of the squared spectrum, Z1 for the magnitude
-zeta at -1, Z0 for the squared zeta at 0, T(r) for the convergent sum of
+parts through the model's zeta invariants.  Per magnitude a Dirichlet
+mode gives lam r - log lam + log(1 - e^(-2 lam r)) and a Robin mode
+log 2 + lam r.  Writing f for the share of the signed modes that
+``mode_bc_projection`` sends to Dirichlet, logdet_sq for the regularized
+log-determinant of the squared spectrum, Z1 for the magnitude zeta at -1,
+Z0 for the squared zeta at 0, T(r) for the convergent sum of
 m log(1 - e^(-2 lam r)) over the signed spectrum and k for the kernel
-dimension:
+dimension: the spectrum is symmetric by construction, so a share f of
+the signed modes carries the share f of each invariant, and every pair
+assembles as
 
-    (D, D)        r Z1 - logdet_sq/2 + T(r) + k log(2r)
-    (D, P<)       r Z1 - logdet_sq/4 + (log2/2) Z0 + T(r)/2 + k log 2
-    (P>=, D)      r Z1 - logdet_sq/4 + (log2/2) Z0 + T(r)/2 + k log(2r)
-    (P>, D)       as (P>=, D) with kernel term k log 2
-    (D, RobinAbs) r Z1 + log2 Z0 + k log 2
+    r Z1 - (f/2) logdet_sq + log2 (1 - f) Z0 + f T(r) + k logdet(kernel mode)
 
-Half-spectrum invariants are exactly half the full ones (the spectrum is
-symmetric by construction).  Every piece is recorded in the returned
-RegScalar; for finite models the assembly telescopes exactly to the plain
-sum of per-mode closed forms.
+The five rows are
+
+    (D, D)        f = 1:    r Z1 - logdet_sq/2 + T(r) + k log(2r)
+    (D, P<)       f = 1/2:  r Z1 - logdet_sq/4 + (log2/2) Z0 + T(r)/2 + k log 2
+    (P>=, D)      f = 1/2:  r Z1 - logdet_sq/4 + (log2/2) Z0 + T(r)/2 + k log(2r)
+    (P>, D)       f = 1/2:  as (P>=, D) with kernel term k log 2
+    (D, RobinAbs) f = 0:    r Z1 + log2 Z0 + k log 2
+
+Every piece is recorded in the returned RegScalar; for finite models the
+assembly telescopes exactly to the plain sum of per-mode closed forms.
 """
 
 from __future__ import annotations
@@ -142,50 +149,26 @@ def explicit_mode_sum(model: TangentialModel, r: float, bc: CylinderBC) -> float
 
 def cylinder_logdet(model: TangentialModel, r: float, bc: CylinderBC) -> RegScalar:
     """Zeta-regularized log-determinant of the cylinder with boundary pair
-    ``bc``, assembled from the model's spectral invariants (see the module
-    docstring for the five closed assemblies).  est_error collects the
-    invariant errors and the truncation bound of the exponential sum."""
+    ``bc``, assembled from the model's spectral invariants with the
+    coefficients of its per-mode projections (see the module docstring).
+    est_error collects the invariant errors and the truncation bound of the
+    exponential sum."""
     if r <= 0.0:
         raise DomainError("need r > 0")
+    # share of the signed modes that see Dirichlet at the interface
+    f = sum(mode_bc_projection(bc, lam) is ModeBC.DIRICHLET for lam in (1.0, -1.0)) / 2.0
     z1 = zeta_abs(model, -1.0)
     z0 = zeta_sq(model, 0.0)
     dz, dz_err = zeta_sq_deriv0(model)  # zeta_sq'(0); -logdet_sq
     tail, tail_err = exp_correction_sum(model, r)
-    k = float(model.kernel_dim)
-
-    key = (bc.left, bc.right)
-    if key == ("D", "D"):
-        coeffs = {"linear_in_r": r, "log_part": 0.5, "count_part": 0.0,
-                  "convergent_tail": 1.0, "kernel_part": math.log(2.0 * r)}
-    elif key == ("D", "P<"):
-        coeffs = {"linear_in_r": r, "log_part": 0.25, "count_part": 0.5 * _LOG2,
-                  "convergent_tail": 0.5, "kernel_part": _LOG2}
-    elif key == ("P>=", "D"):
-        coeffs = {"linear_in_r": r, "log_part": 0.25, "count_part": 0.5 * _LOG2,
-                  "convergent_tail": 0.5, "kernel_part": math.log(2.0 * r)}
-    elif key == ("P>", "D"):
-        coeffs = {"linear_in_r": r, "log_part": 0.25, "count_part": 0.5 * _LOG2,
-                  "convergent_tail": 0.5, "kernel_part": _LOG2}
-    else:  # ("D", "RobinAbsB")
-        coeffs = {"linear_in_r": r, "log_part": 0.0, "count_part": _LOG2,
-                  "convergent_tail": 0.0, "kernel_part": _LOG2}
-
-    pieces = {
-        "linear_in_r": (coeffs["linear_in_r"], z1.value.real),
-        "log_part": (coeffs["log_part"], dz),
-        "count_part": (coeffs["count_part"], z0.value.real),
-        "convergent_tail": (coeffs["convergent_tail"], tail),
-        "kernel_part": (k, coeffs["kernel_part"]),
-    }
-    value = fsum(c * v for c, v in pieces.values())
-    est = (
-        abs(coeffs["linear_in_r"]) * z1.est_error
-        + abs(coeffs["log_part"]) * dz_err
-        + abs(coeffs["count_part"]) * z0.est_error
-        + abs(coeffs["convergent_tail"]) * tail_err
-        + 4e-16 * (abs(value) + 1.0)
-    )
-    return RegScalar(value=complex(value), pieces=pieces, est_error=est)
+    return RegScalar.assemble({
+        "linear_in_r": (r, z1.value.real, z1.est_error),
+        "log_part": (f / 2.0, dz, dz_err),
+        "count_part": (_LOG2 * (1.0 - f), z0.value.real, z0.est_error),
+        "convergent_tail": (f, tail, tail_err),
+        "kernel_part": (float(model.kernel_dim),
+                        mode_logdet_gy(mode_problem_for(bc, 0.0, r)), 0.0),
+    })
 
 
 def gluing_identity_residual(model: TangentialModel, r: float) -> float:

@@ -34,7 +34,7 @@ from enum import Enum
 from math import fsum
 
 from .errors import ConvergenceError, DomainError, KernelModeError
-from .spectral_models import TangentialModel, zeta_abs, zeta_sq, zeta_sq_deriv0
+from .spectral_models import TangentialModel, zeta_sq, zeta_sq_deriv0
 
 __all__ = [
     "CapOperator",
@@ -72,6 +72,23 @@ class RegScalar:
     value: complex
     pieces: dict
     est_error: float
+
+    @classmethod
+    def assemble(cls, parts: dict) -> "RegScalar":
+        """Real assembly from ``{name: (coefficient, invariant, error)}``.
+
+        The value is the fsum of coefficient * invariant; est_error adds
+        |coefficient| * error piece by piece, in order, plus a rounding
+        allowance of 4e-16 (|value| + 1).
+        """
+        value = fsum(c * v for c, v, _ in parts.values())
+        est = 0.0
+        for c, _, err in parts.values():
+            est += abs(c) * err
+        est += 4e-16 * (abs(value) + 1.0)
+        return cls(value=complex(value),
+                   pieces={name: (c, v) for name, (c, v, _) in parts.items()},
+                   est_error=est)
 
     def recombine(self) -> complex:
         terms = [complex(c) * complex(v) for c, v in self.pieces.values()]
@@ -270,17 +287,12 @@ def robin_dtn_logdet(model: TangentialModel, r: float) -> RegScalar:
     z0 = zeta_sq(model, 0.0)
     dz, dz_err = zeta_sq_deriv0(model)
     tail_sum, tail_err = exp_correction_sum(model, r)
-    k = model.kernel_dim
-    pieces = {
-        "count_part": (_LOG2, z0.value.real),
-        "log_part": (-0.5, dz),
-        "linear_in_r": (0.0, zeta_abs(model, -1.0).value.real),
-        "convergent_tail": (-1.0, tail_sum),
-        "kernel_part": (float(k), -math.log(r)),
-    }
-    value = fsum(c * v for c, v in pieces.values())
-    est = _LOG2 * z0.est_error + 0.5 * dz_err + tail_err + 4e-16 * (abs(value) + 1.0)
-    return RegScalar(value=complex(value), pieces=pieces, est_error=est)
+    return RegScalar.assemble({
+        "count_part": (_LOG2, z0.value.real, z0.est_error),
+        "log_part": (-0.5, dz, dz_err),
+        "convergent_tail": (-1.0, tail_sum, tail_err),
+        "kernel_part": (float(model.kernel_dim), -math.log(r), 0.0),
+    })
 
 
 def dtn_difference_logdet(model: TangentialModel, cap: CapOperator, r: float,

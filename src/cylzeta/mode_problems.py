@@ -78,7 +78,6 @@ class ModeProblem:
 
     lam: float
     r: float
-    left: ModeBC = ModeBC.DIRICHLET
     right: ModeBC = ModeBC.DIRICHLET
 
     def __post_init__(self):
@@ -86,8 +85,6 @@ class ModeProblem:
             raise DomainError(f"cylinder length must be > 0, got {self.r!r}")
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise DomainError(f"mode magnitude must be >= 0, got {self.lam!r}")
-        if self.left is not ModeBC.DIRICHLET:
-            raise DomainError("canonical orientation requires Dirichlet at the far end")
         if self.right is ModeBC.NEUMANN and self.lam != 0.0:
             raise DomainError("Neumann only arises as the lam = 0 limit of RobinAbs")
         if self.right is ModeBC.ROBIN_ABS and self.lam == 0.0:
@@ -334,16 +331,13 @@ def shoot_poisson_dtn(mass: float, r: float, steps: int | None = None) -> float:
     return p / y
 
 
-def mode_poisson_dtn(lam: float, r: float, far_bc: ModeBC = ModeBC.DIRICHLET,
-                     verify: bool = True) -> float:
+def mode_poisson_dtn(lam: float, r: float, verify: bool = True) -> float:
     """Outward normal derivative at the interface of the cylinder Poisson
     solution with value 1 there and Dirichlet at the far end.
 
     Closed form lam coth(lam r) (1/r on the kernel).  With ``verify`` the
     value is cross-checked against the RK4 shooting integrator to 1e-8.
     """
-    if far_bc is not ModeBC.DIRICHLET:
-        raise DomainError("only a Dirichlet far end occurs in this artifact")
     if r <= 0.0 or lam < 0.0:
         raise DomainError("need r > 0 and lam >= 0")
     closed = lam / math.tanh(lam * r) if lam > 0.0 else 1.0 / r

@@ -45,7 +45,6 @@ __all__ = [
     "hurwitz_zeta_zero_deriv",
     "zeta_sq",
     "zeta_abs",
-    "half_zeta_abs",
     "logdet_sq",
     "zeta_sq_deriv0",
     "enumerate_modes",
@@ -466,13 +465,6 @@ def zeta_abs(model: TangentialModel, s) -> ZetaValue:
     s = complex(s)
     inner = zeta_sq(model, s * 0.5)
     return ZetaValue(s=s, value=inner.value, scheme=inner.scheme, est_error=inner.est_error)
-
-
-def half_zeta_abs(model: TangentialModel, s) -> ZetaValue:
-    """Magnitude zeta over the positive half of the spectrum: exactly half."""
-    full = zeta_abs(model, s)
-    return ZetaValue(s=full.s, value=0.5 * full.value, scheme=full.scheme,
-                     est_error=0.5 * full.est_error)
 
 
 def zeta_sq_deriv0(model: TangentialModel) -> tuple[float, float]:

@@ -1,9 +1,11 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
-from cylzeta.cli import main
+from cylzeta.cli import build_parser, main
 
 HALF = '{"kind":"arithmetic","a":0.5,"d":1.0,"mult":[1],"kernel":0}'
 PAIR = '{"kind":"explicit","lines":[[1.0,1],[2.0,1]],"kernel":0}'
@@ -52,6 +54,26 @@ def test_config_errors_exit_1(files, capsys):
     assert main(["zeta", "--model", str(bad)]) == 1
     assert main(["zeta"]) == 1  # missing required flag
     capsys.readouterr()
+
+
+def test_unread_flags_exit_1(files, capsys):
+    assert main(["zeta", "--model", files["half"], "--t-min", "5"]) == 1
+    assert main(["cylinder-det", "--model", files["pair"], "--r", "1.0",
+                 "--cap1", files["cap"]]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line.replace("[", "").replace("]", ""))
+                for line in block.splitlines() if line.startswith("cylzeta ")]
+    assert {argv[1] for argv in examples} == {
+        "zeta", "cylinder-det", "gluing-check", "adiabatic-scan", "asym-const",
+        "blocks-threshold"}
+    parser = build_parser()
+    for argv in examples:
+        parser.parse_args(argv[1:])
 
 
 def test_numerical_failure_exit_2(files, capsys, monkeypatch):

@@ -16,6 +16,7 @@ from cylzeta.cylinder_dets import (
     mode_bc_projection,
     parse_bc,
 )
+from cylzeta.asymptotics import make_ray, shifted_robin_logdet
 from cylzeta.gluing import robin_dtn_logdet
 from cylzeta.mode_problems import ModeBC
 from cylzeta.spectral_models import zeta_abs
@@ -105,6 +106,33 @@ def test_arithmetic_dd_assembly_pieces():
     assert coeff == 0.5
     assert dz == pytest.approx(-2.0 * math.log(2.0), abs=1e-12)
     assert abs(reg.value - reg.recombine()) == 0.0
+
+
+def test_derived_rows_match_the_docstring_table():
+    # (log_part, count_part, convergent_tail, kernel value) per boundary pair,
+    # as tabulated in the cylinder_dets module docstring
+    r = 0.7
+    log2 = math.log(2.0)
+    table = {
+        DD: (0.5, 0.0, 1.0, math.log(2.0 * r)),
+        D_PLT: (0.25, 0.5 * log2, 0.5, log2),
+        PGE_D: (0.25, 0.5 * log2, 0.5, math.log(2.0 * r)),
+        PGT_D: (0.25, 0.5 * log2, 0.5, log2),
+        D_ROBIN: (0.0, log2, 0.0, log2),
+    }
+    model = TangentialModel.arithmetic(0.5, 1.0, kernel_dim=2)
+    for bc, (log_c, count_c, tail_c, kernel_value) in table.items():
+        pieces = cylinder_logdet(model, r, bc).pieces
+        assert pieces["linear_in_r"][0] == r
+        assert pieces["log_part"][0] == log_c
+        assert pieces["count_part"][0] == count_c
+        assert pieces["convergent_tail"][0] == tail_c
+        assert pieces["kernel_part"] == (2.0, kernel_value)
+    robin = robin_dtn_logdet(model, r)
+    assert "linear_in_r" not in robin.pieces
+    assert robin.recombine() == robin.value
+    shifted = shifted_robin_logdet(model, r, make_ray(4, 1), 1e3)
+    assert abs(shifted.recombine() - shifted.value) <= 1e-13
 
 
 def test_robin_route_consistency():

@@ -176,8 +176,6 @@ def test_poisson_dtn_closed_vs_shooting():
 def test_poisson_dtn_kernel_and_asymptote():
     assert mode_poisson_dtn(0.0, 2.0) == pytest.approx(0.5, abs=1e-14)
     assert mode_poisson_dtn(2.0, 100.0, verify=False) == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(DomainError):
-        mode_poisson_dtn(1.0, 1.0, far_bc=ModeBC.ROBIN_ABS)
 
 
 def test_robin_dtn_values():
@@ -204,8 +202,6 @@ def test_mode_problem_validation():
         ModeProblem(1.0, 1.0, right=ModeBC.NEUMANN)
     with pytest.raises(DomainError):
         ModeProblem(0.0, 1.0, right=ModeBC.ROBIN_ABS)
-    with pytest.raises(DomainError):
-        ModeProblem(1.0, 1.0, left=ModeBC.ROBIN_ABS)
 
 
 def test_root_sequence_json_round_trip():

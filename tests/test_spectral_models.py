@@ -10,7 +10,6 @@ from cylzeta import (
     PoleError,
     TangentialModel,
     enumerate_modes,
-    half_zeta_abs,
     hurwitz_zeta,
     hurwitz_zeta_sderiv,
     hurwitz_zeta_zero_deriv,
@@ -215,12 +214,6 @@ def test_zeta_abs_is_zeta_sq_bit_identical():
     for model in (HALF, INTS, PAIR):
         for s in (-1.0, 0.0, 3.0, complex(1.0, 2.0)):
             assert zeta_abs(model, 2 * complex(s)).value == zeta_sq(model, s).value
-
-
-def test_half_zeta_abs_is_exactly_half():
-    for model in (HALF, PAIR):
-        for s in (-1.0, 4.0):
-            assert half_zeta_abs(model, s).value == 0.5 * zeta_abs(model, s).value
 
 
 def test_est_error_populated():
