@@ -336,13 +336,21 @@ def cmd_blocks_threshold(args) -> int:
 # wiring
 # ---------------------------------------------------------------------------
 
+def _length(text: str) -> float:
+    """argparse type of the cylinder lengths: a finite float > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"need a finite length > 0, got {text!r}")
+    return value
+
+
 _FLAGS = {
     "--model": dict(required=True, help="model JSON file"),
     "--cap1": dict(help="cap JSON file for side 1"),
     "--cap2": dict(help="cap JSON file for side 2"),
-    "--r": dict(type=float, default=None),
-    "--r-min": dict(type=float, default=None, dest="r_min"),
-    "--r-max": dict(type=float, default=None, dest="r_max"),
+    "--r": dict(type=_length, default=None),
+    "--r-min": dict(type=_length, default=None, dest="r_min"),
+    "--r-max": dict(type=_length, default=None, dest="r_max"),
     "--steps": dict(type=int, default=8),
     "--t-min": dict(type=float, default=1e3, dest="t_min"),
     "--t-max": dict(type=float, default=1e5, dest="t_max"),

@@ -152,23 +152,22 @@ def cylinder_logdet(model: TangentialModel, r: float, bc: CylinderBC) -> RegScal
     ``bc``, assembled from the model's spectral invariants with the
     coefficients of its per-mode projections (see the module docstring).
     est_error collects the invariant errors and the truncation bound of the
-    exponential sum."""
-    if r <= 0.0:
-        raise DomainError("need r > 0")
+    exponential sum; a pair without Dirichlet modes has no T(r) piece."""
     # share of the signed modes that see Dirichlet at the interface
     f = sum(mode_bc_projection(bc, lam) is ModeBC.DIRICHLET for lam in (1.0, -1.0)) / 2.0
     z1 = zeta_abs(model, -1.0)
     z0 = zeta_sq(model, 0.0)
     dz, dz_err = zeta_sq_deriv0(model)  # zeta_sq'(0); -logdet_sq
-    tail, tail_err = exp_correction_sum(model, r)
-    return RegScalar.assemble({
+    parts = {
         "linear_in_r": (r, z1.value.real, z1.est_error),
         "log_part": (f / 2.0, dz, dz_err),
         "count_part": (_LOG2 * (1.0 - f), z0.value.real, z0.est_error),
-        "convergent_tail": (f, tail, tail_err),
         "kernel_part": (float(model.kernel_dim),
                         mode_logdet_gy(mode_problem_for(bc, 0.0, r)), 0.0),
-    })
+    }
+    if f:  # T(r) enters only through the Dirichlet modes
+        parts["convergent_tail"] = (f, *exp_correction_sum(model, r))
+    return RegScalar.assemble(parts)
 
 
 def gluing_identity_residual(model: TangentialModel, r: float) -> float:

@@ -23,6 +23,14 @@ log-determinants of these operators are never formed; only
 plus the coupled two-sided blocks whose minimum eigenvalue certifies
 injectivity of the glued boundary operator, and the detector for modes
 annihilated by cap + magnitude (the obstruction to all of the above).
+
+Every convergent sum here (T(r), the Robin-map envelope, the variant
+differences) has terms within m times the envelope 2 e^(-2 lam r) / (1 -
+e^(-2 lam r)).  On an arithmetic model d(n + a) with multiplicity p(n),
+envelope terms past index n shrink by at most rho = e^(-2 d r) ((n+1)/n)^deg p,
+so the sum stops before the first n where the term at n over 1 - rho is within
+1e-17 and returns that bound as its tail.  The cutoff is fixed before summing,
+and one past 2,000,000 modes (here or in the block scan) raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -47,7 +55,6 @@ __all__ = [
     "robin_dtn_limit",
     "robin_dtn_limit_bound",
     "dtn_difference_logdet",
-    "difference_trace",
     "adiabatic_bracket",
     "blocks_min_eig",
     "extended_solution_detect",
@@ -59,6 +66,7 @@ __all__ = [
 
 _LOG2 = math.log(2.0)
 _MAX_MODES = 2_000_000
+_TAIL_TOL = 1e-17  # omitted-tail bound: a fortieth of the est_error rounding floor 4e-16
 
 
 @dataclass(frozen=True)
@@ -216,46 +224,54 @@ def dtn_eigenvalue(cap: CapOperator, lam_signed: float, r: float,
 # convergent mode sums
 # ---------------------------------------------------------------------------
 
-def _adaptive_signed_sum(model: TangentialModel, term, *, what: str):
-    """sum over the signed nonzero spectrum of m * term(lam) for terms with
-    an exponential envelope; returns (value, tail_estimate)."""
-    total = []
-    running = 0.0
-    prev = None
-    tail = 0.0
-    zeros = 0
-    for lam, m in model.modes(max_count=_MAX_MODES, lam_max=math.inf if model.is_finite else None):
-        t = 2.0 * m * term(lam)
-        total.append(t)
-        running += t
-        if not model.is_finite:
-            if t == 0.0:
-                zeros += 1
-                if zeros >= 3:  # identically vanishing or underflowed tail
-                    break
-            else:
-                zeros = 0
-            if prev is not None and abs(t) < 1e-17 * (1.0 + abs(running)):
-                ratio = abs(t) / abs(prev) if prev != 0.0 else 0.0
-                if ratio < 0.9:
-                    tail = abs(t) * ratio / (1.0 - ratio)
-                    break
-        if abs(t) > 0.0:
-            prev = t
-    else:
-        if not model.is_finite:
-            raise ConvergenceError(f"{what}: no convergence within {_MAX_MODES} modes")
-    return fsum(total), tail
+def _envelope_tail(model: TangentialModel, r: float, n: int) -> float:
+    """Geometric bound on the envelope terms of an arithmetic model from index
+    n >= 1 on (see the module docstring); inf while rho >= 1, then decreasing."""
+    rho = math.exp(-2.0 * model.d * r) * ((n + 1) / n) ** model.mult_degree
+    if rho >= 1.0:
+        return math.inf
+    y = 2.0 * model.d * (n + model.a) * r
+    return 4.0 * model.multiplicity(n) * math.exp(-y) / -math.expm1(-y) / (1.0 - rho)
+
+
+def _cutoff_index(model: TangentialModel, r: float) -> int:
+    """First index n of an arithmetic model whose envelope tail bound is
+    within _TAIL_TOL.  Past index 0, p >= 1, so no index whose 2 lam r lies
+    below y_tol qualifies; the search doubles from there and bisects."""
+    y_tol = math.log(4.0 / _TAIL_TOL)
+    hi = _MAX_MODES  # when even there 2 lam r < y_tol, the budget cannot hold the sum
+    if 2.0 * model.d * (_MAX_MODES + model.a) * r >= y_tol:
+        hi = max(1, math.ceil(y_tol / (2.0 * model.d * r) - model.a))
+    lo = hi - 1
+    while _envelope_tail(model, r, hi) > _TAIL_TOL:
+        if hi >= _MAX_MODES:
+            raise ConvergenceError(
+                f"convergent mode sum at r = {r!r} needs more than {_MAX_MODES} modes")
+        lo, hi = hi, min(2 * hi, _MAX_MODES)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _envelope_tail(model, r, mid) > _TAIL_TOL:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _envelope_sum(model: TangentialModel, r: float, term) -> tuple[float, float]:
+    """sum over the signed nonzero spectrum of m * term(lam), |term| within the
+    envelope, cut off as the module docstring says; returns (value, tail bound)."""
+    if not (math.isfinite(r) and r > 0.0):
+        raise DomainError(f"need a finite r > 0, got {r!r}")
+    lam_max, tail = None, 0.0
+    if not model.is_finite:
+        n = _cutoff_index(model, r)
+        lam_max, tail = model.d * (n - 1 + model.a), _envelope_tail(model, r, n)
+    return fsum(2.0 * m * term(lam) for lam, m in model.modes(lam_max=lam_max)), tail
 
 
 def exp_correction_sum(model: TangentialModel, r: float) -> tuple[float, float]:
     """sum over the signed spectrum of m log(1 - e^(-2 lam r)), with tail bound."""
-    if r <= 0.0:
-        raise DomainError("need r > 0")
-    value, tail = _adaptive_signed_sum(
-        model, lambda lam: math.log1p(-math.exp(-2.0 * lam * r)),
-        what="exponential correction sum")
-    return value, tail
+    return _envelope_sum(model, r, lambda lam: math.log1p(-math.exp(-2.0 * lam * r)))
 
 
 def robin_dtn_limit(model: TangentialModel) -> tuple[float, float]:
@@ -271,8 +287,7 @@ def robin_dtn_limit_bound(model: TangentialModel, r: float) -> float:
     """Explicit envelope sum m e^(-2 lam r) / (1 - e^(-2 lam_min r)) bounding
     the distance of the Robin-map determinant from its limit."""
     lam_min = model.lambda_min()
-    value, tail = _adaptive_signed_sum(
-        model, lambda lam: math.exp(-2.0 * lam * r), what="limit envelope")
+    value, tail = _envelope_sum(model, r, lambda lam: math.exp(-2.0 * lam * r))
     return (value + 2.0 * tail) / (1.0 - math.exp(-2.0 * lam_min * r))
 
 
@@ -282,8 +297,6 @@ def robin_dtn_logdet(model: TangentialModel, r: float) -> RegScalar:
     Assembled as log 2 * zeta_sq(0) + logdet_sq/2 - sum_{lam != 0} m
     log(1 - e^(-2 lam r)) + k log(1/r); every piece is recorded.
     """
-    if r <= 0.0:
-        raise DomainError("need r > 0")
     z0 = zeta_sq(model, 0.0)
     dz, dz_err = zeta_sq_deriv0(model)
     tail_sum, tail_err = exp_correction_sum(model, r)
@@ -301,8 +314,6 @@ def dtn_difference_logdet(model: TangentialModel, cap: CapOperator, r: float,
     determinant of two DtN variants over the same cap.  Absolutely
     convergent; no regularization enters."""
     validate_cap_for_model(cap, model)
-    if r <= 0.0:
-        raise DomainError("need r > 0")
 
     def term(lam: float) -> float:
         # average of the two signed modes of this magnitude
@@ -313,25 +324,7 @@ def dtn_difference_logdet(model: TangentialModel, cap: CapOperator, r: float,
             out += 0.5 * math.log1p((ea - eb) / eb)
         return out
 
-    value, _ = _adaptive_signed_sum(model, term, what="DtN difference")
-    return value
-
-
-def difference_trace(model: TangentialModel, cap: CapOperator, r: float,
-                     variant_a: DtNVariant, variant_b: DtNVariant) -> float:
-    """Trace of the varying part between two DtN variants (the compact
-    correction whose vanishing trace drives the shared limits)."""
-    validate_cap_for_model(cap, model)
-
-    def term(lam: float) -> float:
-        out = 0.0
-        for sgn in (lam, -lam):
-            out += 0.5 * (dtn_eigenvalue(cap, sgn, r, variant_a)
-                          - dtn_eigenvalue(cap, sgn, r, variant_b))
-        return out
-
-    value, _ = _adaptive_signed_sum(model, term, what="DtN difference trace")
-    return value
+    return _envelope_sum(model, r, term)[0]
 
 
 def adiabatic_bracket(model: TangentialModel, cap1: CapOperator, cap2: CapOperator,
@@ -361,28 +354,27 @@ def blocks_min_eig(model: TangentialModel, cap1: CapOperator, cap2: CapOperator,
     a crossing is reported, not raised."""
     if model.kernel_dim != 0:
         raise KernelModeError("two-sided blocks are defined for trivial kernels")
-    if r <= 0.0:
-        raise DomainError("need r > 0")
-    best = math.inf
-    best_lam = math.nan
-    floor = min(0.0, -abs(cap1.pert_c), -abs(cap2.pert_c))
-    settled = 0
-    for lam, _ in model.modes(max_count=200_000,
-                              lam_max=math.inf if model.is_finite else None):
+    if not (math.isfinite(r) and r > 0.0):
+        raise DomainError(f"need a finite r > 0, got {r!r}")
+
+    def lower(lam: float) -> float:
         e2 = math.exp(-2.0 * r * lam)
         amp = 2.0 * lam * e2 / (1.0 - e2 * e2)
         diag = amp * e2
-        block = Block2x2(a=cap1.mu(lam) + lam + diag, b=-amp, c=cap2.mu(lam) + lam + diag)
-        lo, _ = block.eigenvalues()
+        return Block2x2(a=cap1.mu(lam) + lam + diag, b=-amp,
+                        c=cap2.mu(lam) + lam + diag).eigenvalues()[0]
+
+    # lower eigenvalue >= lam + min(mu) - A >= lam - |c| - 1/(2r): none past lam_stop undercuts
+    lam_stop = (lower(model.lambda_min()) + max(abs(cap1.pert_c), abs(cap2.pert_c))
+                + 0.5 / r)
+    if not model.is_finite and lam_stop / model.d - model.a > _MAX_MODES:
+        raise ConvergenceError(f"block scan at r = {r!r} needs more than {_MAX_MODES} modes")
+    best = math.inf
+    best_lam = math.nan
+    for lam, _ in model.modes(lam_max=lam_stop):
+        lo = lower(lam)
         if lo < best:
             best, best_lam = lo, lam
-        # all later blocks are bounded below by lam + floor - amp
-        if lam + floor - amp > best:
-            settled += 1
-            if settled >= 5:
-                break
-        else:
-            settled = 0
     return best, best_lam
 
 

@@ -76,13 +76,30 @@ def test_readme_cli_examples_parse():
         parser.parse_args(argv[1:])
 
 
-def test_numerical_failure_exit_2(files, capsys, monkeypatch):
-    # a cylinder too short for the mode cap cannot reach the error target
-    import cylzeta.gluing as gluing_mod
-
-    monkeypatch.setattr(gluing_mod, "_MAX_MODES", 10_000)
+def test_numerical_failure_exit_2(files, capsys):
+    # a cylinder too short for the mode budget is refused before summing
     assert main(["gluing-check", "--model", files["half"], "--r", "1e-9"]) == 2
     capsys.readouterr()
+
+
+def test_non_finite_or_non_positive_length_exits_1(files, capsys):
+    for command, flags in (("cylinder-det", ["--r", "nan"]),
+                           ("gluing-check", ["--r", "nan"]),
+                           ("blocks-threshold", ["--r", "nan"]),
+                           ("cylinder-det", ["--r", "inf"]),
+                           ("adiabatic-scan", ["--r", "0"]),
+                           ("gluing-check", ["--r-min", "-1", "--r-max", "2"]),
+                           ("blocks-threshold", ["--r-min", "0.5", "--r-max", "nan"])):
+        assert main([command, "--model", files["half"], *flags]) == 1
+    assert "need a finite length > 0" in capsys.readouterr().err
+
+
+def test_robin_pair_needs_no_convergent_sum(files, capsys):
+    # (D, RobinAbsB) has no Dirichlet modes, so no T(r) piece to exhaust
+    code, report = run(["cylinder-det", "--model", files["half"], "--r", "1e-9",
+                        "--bc", "D,RobinAbsB"], capsys)
+    assert code == 0
+    assert "convergent_tail" not in report["pieces"]
 
 
 def test_cylinder_det_command(files, capsys):

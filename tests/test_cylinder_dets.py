@@ -110,7 +110,7 @@ def test_arithmetic_dd_assembly_pieces():
 
 def test_derived_rows_match_the_docstring_table():
     # (log_part, count_part, convergent_tail, kernel value) per boundary pair,
-    # as tabulated in the cylinder_dets module docstring
+    # as tabulated in the cylinder_dets module docstring; None for no piece
     r = 0.7
     log2 = math.log(2.0)
     table = {
@@ -118,7 +118,7 @@ def test_derived_rows_match_the_docstring_table():
         D_PLT: (0.25, 0.5 * log2, 0.5, log2),
         PGE_D: (0.25, 0.5 * log2, 0.5, math.log(2.0 * r)),
         PGT_D: (0.25, 0.5 * log2, 0.5, log2),
-        D_ROBIN: (0.0, log2, 0.0, log2),
+        D_ROBIN: (0.0, log2, None, log2),
     }
     model = TangentialModel.arithmetic(0.5, 1.0, kernel_dim=2)
     for bc, (log_c, count_c, tail_c, kernel_value) in table.items():
@@ -126,7 +126,10 @@ def test_derived_rows_match_the_docstring_table():
         assert pieces["linear_in_r"][0] == r
         assert pieces["log_part"][0] == log_c
         assert pieces["count_part"][0] == count_c
-        assert pieces["convergent_tail"][0] == tail_c
+        if tail_c is None:
+            assert "convergent_tail" not in pieces
+        else:
+            assert pieces["convergent_tail"][0] == tail_c
         assert pieces["kernel_part"] == (2.0, kernel_value)
     robin = robin_dtn_logdet(model, r)
     assert "linear_in_r" not in robin.pieces

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylzeta import DomainError, KernelModeError, TangentialModel
+from cylzeta import ConvergenceError, DomainError, KernelModeError, TangentialModel
 from cylzeta.gluing import (
     Block2x2,
     CapOperator,
@@ -12,7 +12,6 @@ from cylzeta.gluing import (
     adiabatic_bracket,
     blocks_min_eig,
     cap_to_json_dict,
-    difference_trace,
     dtn_difference_logdet,
     dtn_eigenvalue,
     exp_correction_sum,
@@ -115,6 +114,41 @@ def test_exp_correction_sum_kernel_free():
     assert tail == 0.0
 
 
+@pytest.mark.parametrize("r", [1e-4, 4e-3, 0.1, 0.5])
+def test_exp_correction_sum_matches_eta_closed_form(r):
+    # on n + 1/2 the sum is 2 log prod (1 - e^(-(2n+1) r)); the Dedekind-eta
+    # transformation gives -pi^2/(6r) + log 2 - r/12 up to O(e^(-2 pi^2 / r))
+    value, tail = exp_correction_sum(HALF, r)
+    closed = -math.pi ** 2 / (6.0 * r) + math.log(2.0) - r / 12.0
+    assert 0.0 < tail <= 1e-17
+    assert abs(value - closed) <= tail + 4e-16 * abs(closed)
+
+
+@pytest.mark.parametrize("r", [0.05, 0.5, 2.0])
+def test_robin_dtn_limit_bound_matches_geometric_series(r):
+    # sum over n + 1/2 of 2 e^(-(2n+1) r) is 1/sinh(r); lam_min = 1/2
+    got = robin_dtn_limit_bound(HALF, r)
+    closed = 1.0 / (math.sinh(r) * -math.expm1(-r))
+    # the returned value adds twice the tail bound (at most 1e-17) to the sum
+    assert abs(got - closed) <= 3e-17 / -math.expm1(-r) + 4e-16 * closed
+
+
+def test_convergent_sums_fail_fast_past_the_mode_budget():
+    # d r below about 1.28e-5 needs more than 2,000,000 modes: refused
+    # before summing, and a non-finite r is a domain error, not a long sum;
+    # the block scan keeps the same mode budget
+    with pytest.raises(ConvergenceError):
+        exp_correction_sum(HALF, 1e-5)
+    with pytest.raises(ConvergenceError):  # blocks reach lam ~ 1/(2r) = 5e6
+        blocks_min_eig(HALF, ABS_CAP, ABS_CAP, 1e-7)
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        for call in (lambda r: exp_correction_sum(HALF, r),
+                     lambda r: robin_dtn_limit_bound(HALF, r),
+                     lambda r: blocks_min_eig(HALF, ABS_CAP, ABS_CAP, r)):
+            with pytest.raises(DomainError):
+                call(bad)
+
+
 # -- differences and the adiabatic bracket ---------------------------------------
 
 def test_dtn_difference_finite_value():
@@ -138,18 +172,6 @@ def test_dtn_difference_decays_with_envelope():
         values.append(v)
     rate, _ = fit_exp_decay((2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0), values)
     assert rate == pytest.approx(2.0 * 0.5, rel=0.05)
-
-
-def test_difference_trace_vanishes_adiabatically():
-    # the varying part is trace class with trace -> 0, and the log-det
-    # difference follows it to 0
-    tr = [difference_trace(HALF, ABS_CAP, r, DtNVariant.M1_DIRICHLET, DtNVariant.M1_APS)
-          for r in (1.0, 4.0, 8.0)]
-    assert all(b < a for a, b in zip(tr, tr[1:]))
-    assert tr[-1] < 1e-3
-    d8 = dtn_difference_logdet(HALF, ABS_CAP, 8.0,
-                               DtNVariant.M1_DIRICHLET, DtNVariant.M1_APS)
-    assert abs(d8) <= tr[-1]
 
 
 def test_zero_cap_rejected_against_infinite_model():
@@ -203,6 +225,23 @@ def test_blocks_min_eig_positive_and_limit():
     # vanishing coupling: minimum tends to min(mu_i + lam) = 1
     lo_inf, _ = blocks_min_eig(HALF, ABS_CAP, ABS_CAP, 1000.0)
     assert lo_inf == pytest.approx(1.0, abs=1e-12)
+
+
+def test_blocks_min_eig_matches_brute_force_at_small_r():
+    # at r = 1e-3 the coupling A ~ 1/(2r) = 500 is alive up to lam ~ 500, and
+    # large perturbations put the minimum past the lowest mode (at lam = 2.5)
+    r = 1e-3
+    caps = (CapOperator(pert_c=10.0, pert_beta=1.0), CapOperator(pert_c=8.0, pert_beta=1.5))
+    lo, lam = blocks_min_eig(HALF, *caps, r)
+    brute = []
+    for n in range(20_000):
+        x = n + 0.5
+        e2 = math.exp(-2.0 * r * x)
+        amp = 2.0 * x * e2 / (1.0 - e2 * e2)
+        block = Block2x2(a=caps[0].mu(x) + x + amp * e2, b=-amp, c=caps[1].mu(x) + x + amp * e2)
+        brute.append((block.eigenvalues()[0], x))
+    assert lam > 0.5
+    assert (lo, lam) == min(brute)
 
 
 def test_blocks_degenerate_caps_reported_not_raised():
